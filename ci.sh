@@ -65,6 +65,10 @@ cargo run -q -p skalla-lint
 
 # Extended (workspace-wide) checks; tier-1 above is the gate.
 cargo test --workspace -q
+# The end-to-end benchmark is a package of its own (own [workspace], path
+# dependencies on these crates): build and test it here, so an API change
+# that breaks it fails CI instead of the next benchmark run.
+cargo test -q --offline --manifest-path olapbench/Cargo.toml
 cargo clippy --all-targets --workspace -- -D warnings
 # Rustdoc must stay warning-clean (skalla-net additionally denies missing
 # docs at compile time). skalla-core is gated first and explicitly: it

@@ -233,7 +233,8 @@ pub struct CacheStats {
     pub prefix_hits: u64,
     /// Cube grouping sets served by local roll-up instead of execution.
     pub rollups: u64,
-    /// Encoded bytes currently held (≤ the byte budget).
+    /// Estimated resident bytes currently held (≤ the byte budget; see
+    /// [`Relation::resident_bytes`]).
     pub bytes: u64,
     /// Entries currently held.
     pub entries: u64,
@@ -396,8 +397,10 @@ impl fmt::Debug for SemanticCache {
 pub const DEFAULT_CACHE_BYTES: usize = 64 << 20;
 
 impl SemanticCache {
-    /// An empty cache holding at most `budget_bytes` of encoded
-    /// relations (least-recently-used entries are evicted past it).
+    /// An empty cache holding at most `budget_bytes` of relations, each
+    /// charged its estimated in-memory size ([`Relation::resident_bytes`]),
+    /// not its smaller encoded size (least-recently-used entries are
+    /// evicted past the budget).
     pub fn new(budget_bytes: usize) -> SemanticCache {
         SemanticCache {
             budget: budget_bytes,
@@ -460,7 +463,7 @@ impl SemanticCache {
         if epoch != self.epoch() {
             return;
         }
-        let bytes = relation.encoded_size();
+        let bytes = relation.resident_bytes();
         if bytes > self.budget {
             return;
         }
@@ -684,7 +687,7 @@ mod tests {
     #[test]
     fn lru_respects_byte_budget() {
         let r = rel(1);
-        let unit = r.encoded_size();
+        let unit = r.resident_bytes();
         let cache = SemanticCache::new(unit * 2 + 1);
         let fps: Vec<Fingerprint> = (0..3).map(|i| fingerprint_bytes(&[i as u8])).collect();
         cache.insert(fps[0], &rel(10));

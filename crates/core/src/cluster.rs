@@ -630,16 +630,16 @@ pub(crate) fn run_coordinator(
                             .or_else(|| loan.first().map(|(_, _, r)| r.schema_ref()))
                             .expect("non-empty checked");
                         let mut pm = PartialMerge::new(plan.key.len(), op);
-                        for c in &chunks {
-                            pm.absorb(c)?;
+                        for c in chunks {
+                            pm.absorb_owned(c)?;
                         }
                         // Loan sub-aggregates merge in (segment, helper)
                         // order — the donor's morsel order — so each hot
                         // key's state folds exactly as the donor would
                         // have folded it locally.
                         loan.sort_by_key(|&(seg, helper, _)| (seg, helper));
-                        for (_, _, rel) in &loan {
-                            pm.absorb(rel)?;
+                        for (_, _, rel) in loan {
+                            pm.absorb_owned(rel)?;
                         }
                         per_site.push(pm.into_relation(schema));
                     }

@@ -407,7 +407,7 @@ fn donor_stage(
             for (_, part) in segs {
                 let rel = ship(part)?;
                 schema.get_or_insert_with(|| rel.schema_ref());
-                pm.absorb(&rel)?;
+                pm.absorb_owned(rel)?;
             }
             Ok(pm.into_relation(schema.expect("at least two cold segments")))
         }

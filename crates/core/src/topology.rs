@@ -221,21 +221,15 @@ fn execute_tree_unit(
                 b.project(&ship_cols)?
             } else {
                 // Union of the sites' ¬ψ selections, deduplicated.
-                let mut acc: Option<Relation> = None;
+                let mut acc = Relation::empty(b.schema().clone());
                 for &s in &participants {
                     let SiteFilter::Predicate(p) = &unit.site_filters[s] else {
                         continue;
                     };
                     let bound = p.bind(b.schema(), None)?;
-                    let sel = b.select(&bound)?;
-                    acc = Some(match acc {
-                        None => sel,
-                        Some(a) => a.union_all(&sel)?,
-                    });
+                    acc.append(b.select(&bound)?)?;
                 }
-                acc.map(|a| a.distinct())
-                    .unwrap_or_else(|| Relation::empty(b.schema().clone()))
-                    .project(&ship_cols)?
+                acc.distinct().project(&ship_cols)?
             };
             root_stats.record(r, Direction::Down, frag.encoded_size() as u64);
             Some(frag)
@@ -275,17 +269,16 @@ fn execute_tree_unit(
                         region_partial.as_mut().expect("just set")
                     }
                 };
-                pm.absorb(&h)?;
+                pm.absorb_owned(h)?;
             }
         }
 
         // Region → root: one merged relation.
         if unit.local_chain {
             let mut it = region_chain.into_iter();
-            if let Some(first) = it.next() {
-                let mut acc = first;
+            if let Some(mut acc) = it.next() {
                 for h in it {
-                    acc = acc.union_all(&h)?;
+                    acc.append(h)?;
                 }
                 root_stats.record(r, Direction::Up, acc.encoded_size() as u64);
                 chain_sync

@@ -30,13 +30,21 @@
 //! (computed input expressions, mixed-type columns, string MIN/MAX) fall
 //! back to [`AggSpec::update`] per selected pair — same semantics, still
 //! columnar input access.
+//!
+//! **Lowered residuals.** A block's non-equi θ is split at its top-level
+//! `AND`s (see `Residual`): `r.col op literal` conjuncts filter detail
+//! rows before the probe, `r.col op f(b)` conjuncts compare against `f(b)`
+//! computed once per base row, both through [`Column::cmp_value`] without
+//! building a [`Value`]; only the remaining conjuncts run through
+//! [`BoundExpr::eval_cols`]. Conjunct order, short-circuiting and errors
+//! are the interpreter's, so the selection is unchanged.
 
 use crate::agg::{AccLayout, AggFunc, AggSpec};
 use crate::eval::{drive, EvalOptions, MorselKernel, MorselState, PreparedBlock};
 use crate::operator::Gmdj;
 use skalla_obs::Obs;
 use skalla_relation::columns::{canon_f64, canon_i64, CANON_NULL, CANON_STR_TAG};
-use skalla_relation::{Bitmap, BoundExpr, Column, Columns, Relation, Result, Side, Value};
+use skalla_relation::{Bitmap, BoundExpr, CmpOp, Column, Columns, Relation, Result, Side, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -569,12 +577,138 @@ fn better_f(candidate: f64, current: f64, max: bool) -> bool {
     ord == if max { Ordering::Greater } else { Ordering::Less }
 }
 
+/// The right-hand side of a lowered `r.col op rhs` conjunct.
+enum Rhs<'a> {
+    /// A literal.
+    Lit(&'a Value),
+    /// A detail-free expression `f(b)`, evaluated once per base position
+    /// (a failed evaluation is kept and raised by the first pair that
+    /// reaches this conjunct, as the interpreter would raise it).
+    PerBase(Vec<Result<Value>>),
+}
+
+/// One conjunct of a block's residual θ, lowered for columnar evaluation.
+enum Conjunct<'a> {
+    /// `r.col op rhs` (either operand order; stored with the detail column
+    /// on the left), compared in place with [`Column::cmp_value`] — the
+    /// semantics of [`Value`]'s order and `CmpOp::apply`, `NULL` false.
+    Cmp {
+        col: &'a Column,
+        op: CmpOp,
+        rhs: Rhs<'a>,
+    },
+    /// Anything else: the [`BoundExpr::eval_cols`] interpreter.
+    Interp(&'a BoundExpr),
+}
+
+impl Conjunct<'_> {
+    /// Whether the conjunct holds for base position `pos` and detail row
+    /// `i`.
+    #[inline]
+    fn holds(&self, base: &Relation, detail: &Columns, pos: usize, i: usize) -> Result<bool> {
+        match self {
+            Conjunct::Cmp { col, op, rhs } => {
+                let v = match rhs {
+                    Rhs::Lit(v) => v,
+                    Rhs::PerBase(vals) => match &vals[pos] {
+                        Ok(v) => v,
+                        Err(e) => return Err(e.clone()),
+                    },
+                };
+                Ok(col.cmp_value(i, v).is_some_and(|ord| op.holds(ord)))
+            }
+            Conjunct::Interp(e) => Ok(e.eval_cols(&base.rows()[pos], detail, i)?.is_truthy()),
+        }
+    }
+}
+
+/// A block's residual θ split at its top-level `AND`s.
+///
+/// `r.col op literal` conjuncts that no earlier conjunct can pre-empt
+/// with an error go to `pre` and are tested once per detail row, before
+/// the probe; a row failing one is never hashed. Every other conjunct
+/// stays in `per_pair`, in θ order, and is tested per candidate pair:
+/// `r.col op f(b)` against `f(b)` precomputed per base position, the rest
+/// through the interpreter. Testing conjuncts left to right with the
+/// false ones short-circuiting is exactly how `AND` evaluates, so the
+/// selection — and every error — is the interpreter's.
+#[derive(Default)]
+struct Residual<'a> {
+    /// `(column, op, literal)` of each pre-probe conjunct.
+    pre: Vec<(&'a Column, CmpOp, &'a Value)>,
+    per_pair: Vec<Conjunct<'a>>,
+}
+
+impl<'a> Residual<'a> {
+    fn lower(cond: &'a BoundExpr, base: &Relation, detail: &'a Columns) -> Residual<'a> {
+        let mut pre = Vec::new();
+        let mut per_pair = Vec::new();
+        // Whether a conjunct so far can fail: a later conjunct moved in
+        // front of it could then hide that error.
+        let mut earlier_can_fail = false;
+        for c in cond.conjuncts() {
+            match detail_cmp(c) {
+                Some((ci, op, BoundExpr::Lit(v))) if !earlier_can_fail => {
+                    pre.push((detail.col(ci), op, v))
+                }
+                Some((ci, op, rhs)) => per_pair.push(Conjunct::Cmp {
+                    col: detail.col(ci),
+                    op,
+                    rhs: match rhs {
+                        BoundExpr::Lit(v) => Rhs::Lit(v),
+                        f => Rhs::PerBase(base.iter().map(|b| f.eval_row(b)).collect()),
+                    },
+                }),
+                None => per_pair.push(Conjunct::Interp(c)),
+            }
+            earlier_can_fail |= c.can_fail();
+        }
+        Residual { pre, per_pair }
+    }
+
+    /// Whether detail row `i` passes every pre-probe conjunct.
+    #[inline]
+    fn row_passes(&self, i: usize) -> bool {
+        self.pre
+            .iter()
+            .all(|(col, op, v)| col.cmp_value(i, v).is_some_and(|ord| op.holds(ord)))
+    }
+
+    /// Whether the pair `(pos, i)` passes every per-pair conjunct.
+    #[inline]
+    fn pair_passes(&self, base: &Relation, detail: &Columns, pos: usize, i: usize) -> Result<bool> {
+        for c in &self.per_pair {
+            if !c.holds(base, detail, pos, i)? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+}
+
+/// `r.col op rhs` or `rhs op r.col` with a detail-free `rhs`, as
+/// `(column, op with the column on the left, rhs)`.
+fn detail_cmp(e: &BoundExpr) -> Option<(usize, CmpOp, &BoundExpr)> {
+    let BoundExpr::Cmp(op, a, b) = e else {
+        return None;
+    };
+    match (a.as_ref(), b.as_ref()) {
+        (BoundExpr::Col(Side::Detail, c), rhs) if !rhs.references(Side::Detail) => {
+            Some((*c, *op, rhs))
+        }
+        (lhs, BoundExpr::Col(Side::Detail, c)) if !lhs.references(Side::Detail) => {
+            Some((*c, op.flipped(), lhs))
+        }
+        _ => None,
+    }
+}
+
 /// One block, lowered for columnar evaluation.
 struct ColBlock<'a> {
     /// Index into the shared [`CanonPair`] cache (`None` ⇒ nested loop).
     pair: Option<usize>,
-    /// Residual θ (`None` when trivially true).
-    residual: Option<&'a BoundExpr>,
+    /// Lowered residual θ (both lists empty when trivially true).
+    residual: Residual<'a>,
     /// This block's aggregates with their global indexes into
     /// `ColState::aggs`.
     aggs: Vec<(usize, ColAgg<'a>)>,
@@ -589,6 +723,9 @@ struct ColState {
     /// of `run_morsel_into`; excluded from merges).
     sel_rows: Vec<u32>,
     sel_poss: Vec<u32>,
+    /// Nested-loop scratch: the morsel's rows passing the pre-probe
+    /// conjuncts.
+    pre_rows: Vec<u32>,
 }
 
 /// The immutable columnar evaluation context shared across the pool.
@@ -634,6 +771,7 @@ impl MorselKernel for ColKernel<'_> {
             matched: vec![false; n],
             sel_rows: Vec::new(),
             sel_poss: Vec::new(),
+            pre_rows: Vec::new(),
         }
     }
 
@@ -666,24 +804,25 @@ impl MorselKernel for ColKernel<'_> {
             // two kernels bit-identical).
             state.sel_rows.clear();
             state.sel_poss.clear();
+            let (base, detail, res) = (self.base, self.detail, &cb.residual);
             match cb.pair {
                 Some(pi) => {
                     let cp = &self.pairs[pi];
                     let mask = cp.heads.len() - 1;
                     for i in lo..hi {
+                        if !res.row_passes(i) {
+                            continue;
+                        }
                         let h = canon_hash(&cp.dtags, &cp.dwords, i);
                         let mut cur = cp.heads[(h as usize) & mask];
                         while cur != 0 {
                             let pos = (cur - 1) as usize;
                             cur = cp.next[pos];
-                            if cp.hashes[pos] != h || !cp.keys_equal(pos, i) {
+                            if cp.hashes[pos] != h
+                                || !cp.keys_equal(pos, i)
+                                || !res.pair_passes(base, detail, pos, i)?
+                            {
                                 continue;
-                            }
-                            if let Some(res) = cb.residual {
-                                let b = &self.base.rows()[pos];
-                                if !res.eval_cols(b, self.detail, i)?.is_truthy() {
-                                    continue;
-                                }
                             }
                             state.matched[pos] = true;
                             state.sel_rows.push(i as u32);
@@ -692,15 +831,17 @@ impl MorselKernel for ColKernel<'_> {
                     }
                 }
                 None => {
-                    for (pos, b) in self.base.iter().enumerate() {
-                        for i in lo..hi {
-                            if let Some(res) = cb.residual {
-                                if !res.eval_cols(b, self.detail, i)?.is_truthy() {
-                                    continue;
-                                }
+                    state.pre_rows.clear();
+                    state
+                        .pre_rows
+                        .extend((lo..hi).filter(|&i| res.row_passes(i)).map(|i| i as u32));
+                    for pos in 0..base.len() {
+                        for &i in &state.pre_rows {
+                            if !res.pair_passes(base, detail, pos, i as usize)? {
+                                continue;
                             }
                             state.matched[pos] = true;
-                            state.sel_rows.push(i as u32);
+                            state.sel_rows.push(i);
                             state.sel_poss.push(pos as u32);
                         }
                     }
@@ -970,7 +1111,11 @@ pub(crate) fn eval_columnar(
         } else {
             None
         };
-        let residual = (!pb.trivial_condition).then_some(&pb.condition);
+        let residual = if pb.trivial_condition {
+            Residual::default()
+        } else {
+            Residual::lower(&pb.condition, base, cols)
+        };
         let mut aggs = Vec::with_capacity(pb.aggs.len());
         for (spec, (input, _off)) in gmdj.blocks[bi].aggs.iter().zip(&pb.aggs) {
             aggs.push((gi, classify(spec, input.as_ref(), cols)));
@@ -1242,6 +1387,287 @@ mod tests {
         )
         .unwrap();
         assert_bits_equal(&serial, &parallel);
+    }
+
+    /// Random detail and base relations for the residual property test:
+    /// NULLs, NaN, ±0.0, extreme Ints, a mixed-type column on each side,
+    /// and base strings that make arithmetic fail.
+    mod residual_prop {
+        use super::*;
+        use proptest::prelude::*;
+        use skalla_relation::{ArithOp, CmpOp, Row, Schema};
+
+        pub(super) fn detail(rows: &[(u32, u32, u32, u32, u32)]) -> Relation {
+            let ks = [Value::Null, Value::Int(0), Value::Int(1), Value::Int(2)];
+            let xs = [
+                Value::Null,
+                Value::Int(-3),
+                Value::Int(0),
+                Value::Int(1),
+                Value::Int(2),
+                Value::Int(i64::MAX),
+                Value::Int(i64::MIN),
+            ];
+            let ys = [
+                Value::Null,
+                Value::Double(f64::NAN),
+                Value::Double(-0.0),
+                Value::Double(0.0),
+                Value::Double(1.0),
+                Value::Double(2.5),
+                Value::Double(-1.5),
+                Value::Double(f64::INFINITY),
+                Value::Double(i64::MAX as f64),
+            ];
+            let ss = [
+                Value::Null,
+                Value::str(""),
+                Value::str("a"),
+                Value::str("ab"),
+                Value::str("b"),
+            ];
+            let ms = [
+                Value::Null,
+                Value::Int(1),
+                Value::Double(1.0),
+                Value::Double(f64::NAN),
+                Value::str("a"),
+                Value::Int(-2),
+                Value::Double(-0.0),
+            ];
+            Relation::new(
+                Schema::of(&[
+                    ("k", DataType::Int),
+                    ("x", DataType::Int),
+                    ("y", DataType::Double),
+                    ("s", DataType::Str),
+                    ("m", DataType::Int),
+                ]),
+                rows.iter()
+                    .map(|&(k, x, y, s, m)| {
+                        Row::new(vec![
+                            ks[k as usize % ks.len()].clone(),
+                            xs[x as usize % xs.len()].clone(),
+                            ys[y as usize % ys.len()].clone(),
+                            ss[s as usize % ss.len()].clone(),
+                            ms[m as usize % ms.len()].clone(),
+                        ])
+                    })
+                    .collect(),
+            )
+            .unwrap()
+        }
+
+        pub(super) fn base(rows: &[(u32, u32, u32, u32)]) -> Relation {
+            let ks = [Value::Null, Value::Int(0), Value::Int(1), Value::Int(2)];
+            let as_ = [
+                Value::Null,
+                Value::Double(f64::NAN),
+                Value::Double(-0.0),
+                Value::Double(1.0),
+                Value::Double(0.5),
+            ];
+            let is = [Value::Null, Value::Int(0), Value::Int(1), Value::Int(-2)];
+            let ts = [
+                Value::Int(2),
+                Value::Double(1.5),
+                Value::str("z"),
+                Value::Null,
+            ];
+            Relation::new(
+                Schema::of(&[
+                    ("k", DataType::Int),
+                    ("a", DataType::Double),
+                    ("i", DataType::Int),
+                    ("t", DataType::Int),
+                ]),
+                rows.iter()
+                    .map(|&(k, a, i, t)| {
+                        Row::new(vec![
+                            ks[k as usize % ks.len()].clone(),
+                            as_[a as usize % as_.len()].clone(),
+                            is[i as usize % is.len()].clone(),
+                            ts[t as usize % ts.len()].clone(),
+                        ])
+                    })
+                    .collect(),
+            )
+            .unwrap()
+        }
+
+        fn lit(i: u32) -> Expr {
+            let lits = [
+                Value::Null,
+                Value::Int(0),
+                Value::Int(1),
+                Value::Int(2),
+                Value::Double(1.0),
+                Value::Double(-0.0),
+                Value::Double(f64::NAN),
+                Value::Double(2.5),
+                Value::str("a"),
+                Value::str("b"),
+            ];
+            Expr::Lit(lits[i as usize % lits.len()].clone())
+        }
+
+        fn dcol(i: u32) -> Expr {
+            Expr::dcol(["x", "y", "s", "m"][i as usize % 4])
+        }
+
+        fn bcol(i: u32) -> Expr {
+            Expr::bcol(["a", "i", "t"][i as usize % 3])
+        }
+
+        fn cmp(op: u32, a: Expr, b: Expr, flip: bool) -> Expr {
+            let op = [
+                CmpOp::Eq,
+                CmpOp::Ne,
+                CmpOp::Lt,
+                CmpOp::Le,
+                CmpOp::Gt,
+                CmpOp::Ge,
+            ][op as usize % 6];
+            let (a, b) = if flip { (b, a) } else { (a, b) };
+            Expr::Cmp(op, Box::new(a), Box::new(b))
+        }
+
+        /// One conjunct: every lowerable shape (detail column against a
+        /// literal, a base column, or a base expression that may fail),
+        /// in both operand orders, plus shapes only the interpreter runs.
+        pub(super) fn conjunct((shape, op, a, b, flip): (u32, u32, u32, u32, bool)) -> Expr {
+            match shape % 11 {
+                0 => cmp(op, dcol(a), lit(b), flip),
+                1 => cmp(op, dcol(a), bcol(b), flip),
+                2 => cmp(op, dcol(a), bcol(b).mul(lit(a)), flip),
+                3 => cmp(op, dcol(a), bcol(b).div(bcol(b + 1)), flip),
+                4 => cmp(op, dcol(a), lit(a).add(lit(b)), flip),
+                5 => cmp(op, dcol(a).add(dcol(b)), lit(b), flip),
+                6 => cmp(op, dcol(a), dcol(b), flip),
+                7 => cmp(op, dcol(a), lit(b), flip).or(cmp(op, bcol(b), lit(a), flip)),
+                8 => cmp(op, dcol(a), bcol(b), flip).not(),
+                9 => dcol(a).in_list(vec![Value::Int(1), Value::str("a"), Value::Double(2.5)]),
+                _ => cmp(
+                    op,
+                    Expr::Arith(ArithOp::Mod, Box::new(dcol(a)), Box::new(lit(b))),
+                    lit(a),
+                    flip,
+                ),
+            }
+        }
+
+        pub(super) fn arb_rows() -> impl Strategy<Value = Vec<(u32, u32, u32, u32, u32)>> {
+            proptest::collection::vec((0u32..8, 0u32..8, 0u32..12, 0u32..6, 0u32..8), 1..24)
+        }
+
+        pub(super) fn arb_base() -> impl Strategy<Value = Vec<(u32, u32, u32, u32)>> {
+            proptest::collection::vec((0u32..5, 0u32..6, 0u32..5, 0u32..5), 1..8)
+        }
+
+        pub(super) fn arb_conjuncts() -> impl Strategy<Value = Vec<(u32, u32, u32, u32, bool)>> {
+            proptest::collection::vec((0u32..11, 0u32..6, 0u32..10, 0u32..10, any::<bool>()), 1..5)
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The lowered residual decides every (base row, detail row) pair
+        /// exactly as the `eval_cols` interpreter does on the whole
+        /// residual: the same truth value, or the same error.
+        #[test]
+        fn lowered_residual_matches_interpreter_pairwise(
+            drows in residual_prop::arb_rows(),
+            brows in residual_prop::arb_base(),
+            conj in residual_prop::arb_conjuncts(),
+        ) {
+            let d = residual_prop::detail(&drows);
+            let b = residual_prop::base(&brows);
+            let theta = Expr::conjunction(conj.into_iter().map(residual_prop::conjunct).collect());
+            let cond = theta.bind(b.schema(), Some(d.schema())).unwrap();
+            let cols = d.columns();
+            let res = Residual::lower(&cond, &b, cols);
+            for pos in 0..b.len() {
+                for i in 0..d.len() {
+                    let want = cond
+                        .eval_cols(&b.rows()[pos], cols, i)
+                        .map(|v| v.is_truthy());
+                    let got = if res.row_passes(i) {
+                        res.pair_passes(&b, cols, pos, i)
+                    } else {
+                        Ok(false)
+                    };
+                    proptest::prop_assert_eq!(got, want, "{} at base {} detail {}", theta, pos, i);
+                }
+            }
+        }
+
+        /// End to end: keyed and nested-loop blocks with a random residual
+        /// give the row kernel's bits, or its error.
+        #[test]
+        fn lowered_residual_kernel_matches_row_kernel(
+            drows in residual_prop::arb_rows(),
+            brows in residual_prop::arb_base(),
+            conj in residual_prop::arb_conjuncts(),
+            keyed in proptest::prelude::any::<bool>(),
+            morsel_rows in 1usize..6,
+        ) {
+            let d = residual_prop::detail(&drows);
+            let b = residual_prop::base(&brows);
+            let residual = Expr::conjunction(conj.into_iter().map(residual_prop::conjunct).collect());
+            let theta = if keyed {
+                ThetaBuilder::group_by(&["k"]).and(residual).build()
+            } else {
+                residual
+            };
+            let g = Gmdj::new("t").block(
+                theta,
+                vec![
+                    AggSpec::count("cnt"),
+                    AggSpec::sum("y", "sy"),
+                    AggSpec::max("x", "mx"),
+                    AggSpec::avg("y", "ay"),
+                ],
+            );
+            let opts = EvalOptions { morsel_rows, ..opts_columnar() };
+            let col = eval_local(&b, &d, &g, opts);
+            let rowk = eval_local(&b, &d, &g, EvalOptions { columnar: false, ..opts });
+            match (col, rowk) {
+                (Ok(c), Ok(r)) => assert_bits_equal(&c, &r),
+                (Err(c), Err(r)) => proptest::prop_assert_eq!(c, r),
+                (c, r) => panic!("kernels disagree: columnar {:?} vs row {:?}", c.err(), r.err()),
+            }
+        }
+    }
+
+    #[test]
+    fn base_expression_error_surfaces_on_the_same_pair() {
+        // `b.t * 2` fails on the string row; the pre-probe filter sits
+        // *after* it in θ, so it must not hide the error.
+        let d = residual_prop::detail(&[(1, 3, 4, 2, 1), (1, 4, 5, 2, 1)]);
+        let b = residual_prop::base(&[(1, 3, 1, 2)]);
+        let g = Gmdj::new("t").block(
+            ThetaBuilder::group_by(&["k"])
+                .and(Expr::dcol("y").gt(Expr::bcol("t").mul(Expr::lit(2i64))))
+                .and(Expr::dcol("x").gt(Expr::lit(100i64)))
+                .build(),
+            vec![AggSpec::count("cnt")],
+        );
+        let col = eval_local(&b, &d, &g, opts_columnar()).unwrap_err();
+        let rowk = eval_local(&b, &d, &g, opts_row()).unwrap_err();
+        assert_eq!(col, rowk);
+        assert!(col.to_string().contains("non-numeric operand z"), "{col}");
+        // With the filter first, no pair reaches the failing conjunct.
+        let g = Gmdj::new("t").block(
+            ThetaBuilder::group_by(&["k"])
+                .and(Expr::dcol("x").gt(Expr::lit(100i64)))
+                .and(Expr::dcol("y").gt(Expr::bcol("t").mul(Expr::lit(2i64))))
+                .build(),
+            vec![AggSpec::count("cnt")],
+        );
+        let col = eval_local(&b, &d, &g, opts_columnar()).unwrap();
+        let rowk = eval_local(&b, &d, &g, opts_row()).unwrap();
+        assert_bits_equal(&col, &rowk);
     }
 
     #[test]

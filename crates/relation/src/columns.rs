@@ -18,9 +18,11 @@
 //! *canonical keys* ([`canon_i64`] / [`canon_f64`] plus dictionary codes)
 //! instead of hashing [`Value`] enums row by row.
 
+use crate::index::{KeyHasher, KeyIndex};
 use crate::row::Row;
 use crate::schema::Schema;
-use crate::value::{DataType, Value};
+use crate::value::{total_f64_cmp, DataType, Value};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -141,6 +143,77 @@ impl Column {
             | Column::Double { valid, .. }
             | Column::Str { valid, .. } => valid.as_ref().is_none_or(|v| v.get(i)),
             Column::Mixed(vs) => !vs[i].is_null(),
+        }
+    }
+
+    /// The order of row `i` against `v` under [`Value`]'s total order —
+    /// what `self.value(i).cmp(v)` gives, without building the value — or
+    /// `None` when either side is `NULL` (a comparison with `NULL` is
+    /// never true).
+    #[inline]
+    pub fn cmp_value(&self, i: usize, v: &Value) -> Option<Ordering> {
+        if v.is_null() || !self.is_valid(i) {
+            return None;
+        }
+        Some(match self {
+            Column::Int { data, .. } => match v {
+                Value::Int(c) => data[i].cmp(c),
+                Value::Double(d) => total_f64_cmp(data[i] as f64, *d),
+                // Numbers sort before strings.
+                _ => Ordering::Less,
+            },
+            Column::Double { data, .. } => match v {
+                Value::Int(c) => total_f64_cmp(data[i], *c as f64),
+                Value::Double(d) => total_f64_cmp(data[i], *d),
+                _ => Ordering::Less,
+            },
+            Column::Str { codes, dict, .. } => match v {
+                Value::Str(s) => (*dict[codes[i] as usize]).cmp(&**s),
+                _ => Ordering::Greater,
+            },
+            Column::Mixed(vs) => vs[i].cmp(v),
+        })
+    }
+
+    /// Mix row `i`'s canonical key into `h`: equal values (by [`Value`]
+    /// equality) mix equally within one column. String rows mix their
+    /// dictionary code.
+    #[inline]
+    fn hash_into(&self, i: usize, h: &mut KeyHasher) {
+        match self {
+            Column::Int { data, .. } => h.canon(if self.is_valid(i) {
+                canon_i64(data[i])
+            } else {
+                CANON_NULL
+            }),
+            Column::Double { data, .. } => h.canon(if self.is_valid(i) {
+                canon_f64(data[i])
+            } else {
+                CANON_NULL
+            }),
+            Column::Str { codes, .. } => h.canon(if self.is_valid(i) {
+                (CANON_STR_TAG, codes[i] as u64)
+            } else {
+                CANON_NULL
+            }),
+            Column::Mixed(vs) => h.value(&vs[i]),
+        }
+    }
+
+    /// Whether rows `a` and `b` hold [`Value`]-equal values (two `NULL`s
+    /// are equal, as under the total order).
+    #[inline]
+    fn same_at(&self, a: usize, b: usize) -> bool {
+        // Typed layouts: equal validity, and equal data where valid.
+        let typed = |data_eq: bool| {
+            let valid = self.is_valid(a);
+            valid == self.is_valid(b) && (!valid || data_eq)
+        };
+        match self {
+            Column::Int { data, .. } => typed(data[a] == data[b]),
+            Column::Double { data, .. } => typed(canon_f64(data[a]) == canon_f64(data[b])),
+            Column::Str { codes, .. } => typed(codes[a] == codes[b]),
+            Column::Mixed(vs) => vs[a] == vs[b],
         }
     }
 
@@ -275,6 +348,38 @@ impl Columns {
     /// Materialize all rows (the inverse of [`Columns::from_rows`]).
     pub fn to_rows(&self) -> Vec<Row> {
         (0..self.len).map(|i| self.row(i)).collect()
+    }
+
+    /// The distinct combinations of the columns at `idx`, as rows in
+    /// first-occurrence order, each holding its first occurrence's values
+    /// — a duplicate-eliminating projection in one pass over the typed
+    /// columns. Rows are deduplicated on canonical keys (so `Int(2)` and
+    /// `Double(2.0)`, or `-0.0` and `0.0`, count as one, as under
+    /// [`Value`] equality), and only the surviving rows are materialized.
+    pub(crate) fn distinct_rows(&self, idx: &[usize]) -> Vec<Row> {
+        assert!(self.len < u32::MAX as usize, "relation too large to index");
+        let cols: Vec<&Column> = idx.iter().map(|&c| &self.cols[c]).collect();
+        let mut index = KeyIndex::new();
+        let mut firsts: Vec<u32> = Vec::new();
+        for i in 0..self.len {
+            let mut h = KeyHasher::new();
+            for c in &cols {
+                c.hash_into(i, &mut h);
+            }
+            let h = h.finish();
+            let seen = index.find(h, |p| {
+                let first = firsts[p] as usize;
+                cols.iter().all(|c| c.same_at(first, i))
+            });
+            if seen.is_none() {
+                index.insert(h);
+                firsts.push(i as u32);
+            }
+        }
+        firsts
+            .iter()
+            .map(|&i| Row::new(cols.iter().map(|c| c.value(i as usize)).collect()))
+            .collect()
     }
 }
 

@@ -74,7 +74,12 @@ impl CmpOp {
 
     /// Apply to two non-null values using the total value order.
     pub fn apply(self, a: &Value, b: &Value) -> bool {
-        let ord = a.cmp(b);
+        self.holds(a.cmp(b))
+    }
+
+    /// Whether `a op b` holds given `ord` = the order of `a` against `b`.
+    #[inline]
+    pub fn holds(self, ord: std::cmp::Ordering) -> bool {
         match self {
             CmpOp::Eq => ord == std::cmp::Ordering::Equal,
             CmpOp::Ne => ord != std::cmp::Ordering::Equal,
@@ -532,6 +537,53 @@ pub enum BoundExpr {
 }
 
 impl BoundExpr {
+    /// The top-level `AND` conjuncts, in evaluation order: `a AND b`
+    /// evaluates `a` first and skips `b` when `a` is not truthy, so
+    /// testing the conjuncts one by one, left to right, stopping at the
+    /// first false one, gives the same truth value and the same error.
+    pub fn conjuncts(&self) -> Vec<&BoundExpr> {
+        fn walk<'a>(e: &'a BoundExpr, out: &mut Vec<&'a BoundExpr>) {
+            match e {
+                BoundExpr::And(a, b) => {
+                    walk(a, out);
+                    walk(b, out);
+                }
+                other => out.push(other),
+            }
+        }
+        let mut out = Vec::new();
+        walk(self, &mut out);
+        out
+    }
+
+    /// Whether the expression references any column on `side`.
+    pub fn references(&self, side: Side) -> bool {
+        match self {
+            BoundExpr::Col(s, _) => *s == side,
+            BoundExpr::Lit(_) => false,
+            BoundExpr::Cmp(_, a, b)
+            | BoundExpr::Arith(_, a, b)
+            | BoundExpr::And(a, b)
+            | BoundExpr::Or(a, b) => a.references(side) || b.references(side),
+            BoundExpr::Not(a) | BoundExpr::InList(a, _) => a.references(side),
+        }
+    }
+
+    /// Whether two-row evaluation ([`BoundExpr::eval`],
+    /// [`BoundExpr::eval_cols`]) can return an error. Only arithmetic can:
+    /// `+`, `-`, `*` and `/` reject a non-numeric operand (`%` yields
+    /// `NULL` instead); comparisons, logic and `IN` never fail.
+    pub fn can_fail(&self) -> bool {
+        match self {
+            BoundExpr::Col(..) | BoundExpr::Lit(_) => false,
+            BoundExpr::Arith(op, a, b) => *op != ArithOp::Mod || a.can_fail() || b.can_fail(),
+            BoundExpr::Cmp(_, a, b) | BoundExpr::And(a, b) | BoundExpr::Or(a, b) => {
+                a.can_fail() || b.can_fail()
+            }
+            BoundExpr::Not(a) | BoundExpr::InList(a, _) => a.can_fail(),
+        }
+    }
+
     /// Evaluate over a base row and a detail row.
     pub fn eval(&self, base: &Row, detail: &Row) -> Result<Value> {
         self.eval_inner(base, Some(detail))

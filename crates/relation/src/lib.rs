@@ -6,8 +6,8 @@
 //! physical layout (typed vectors, dictionary-encoded strings, validity
 //! bitmaps) for the vectorized kernel, two-sided scalar [`Expr`]essions
 //! (GMDJ conditions θ(b, r)), interval/domain analysis for deriving the
-//! paper's ¬ψ group-reduction filters, hash indexes, a binary codec with
-//! exact byte accounting, and CSV import/export.
+//! paper's ¬ψ group-reduction filters, an allocation-free key index, a
+//! binary codec with exact byte accounting, and CSV import/export.
 //!
 //! The paper ran each warehouse site on AT&T's Daytona DBMS; this crate is
 //! the equivalent local substrate, built from scratch.
@@ -31,7 +31,7 @@ pub mod schema;
 pub use columns::{Bitmap, Column, Columns, StrDictView};
 pub use error::{Error, Result};
 pub use expr::{ArithOp, BoundExpr, CmpOp, Expr, Side};
-pub use index::HashIndex;
+pub use index::{hash_row_key, hash_values, KeyIndex};
 pub use parse::parse_expr;
 pub use interval::{derive_base_constraint, BaseConstraint, Domain, DomainMap, Interval};
 pub use relation::Relation;

@@ -40,6 +40,11 @@ impl Row {
         &self.values
     }
 
+    /// All values, mutably (in-place accumulator merges).
+    pub fn values_mut(&mut self) -> &mut [Value] {
+        &mut self.values
+    }
+
     /// Replace the value at position `i`.
     pub fn set(&mut self, i: usize, v: Value) {
         self.values[i] = v;

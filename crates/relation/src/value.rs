@@ -159,7 +159,8 @@ fn type_rank(v: &Value) -> u8 {
 }
 
 /// Total order on doubles: ordinary order, with NaN greatest.
-fn total_f64_cmp(a: f64, b: f64) -> Ordering {
+#[inline]
+pub(crate) fn total_f64_cmp(a: f64, b: f64) -> Ordering {
     match (a.is_nan(), b.is_nan()) {
         (true, true) => Ordering::Equal,
         (true, false) => Ordering::Greater,

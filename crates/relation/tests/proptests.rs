@@ -238,6 +238,83 @@ proptest! {
     }
 }
 
+/// A bit-exact rendering of a row set (`f64` by bit pattern).
+fn bits(rows: &[Row]) -> Vec<Vec<String>> {
+    rows.iter()
+        .map(|r| {
+            r.values()
+                .iter()
+                .map(|v| match v {
+                    Value::Null => "N".to_string(),
+                    Value::Int(i) => format!("I{i}"),
+                    Value::Double(d) => format!("D{:x}", d.to_bits()),
+                    Value::Str(s) => format!("S{s}"),
+                })
+                .collect()
+        })
+        .collect()
+}
+
+proptest! {
+    /// `project_distinct` over rows and over the cached columns both equal
+    /// the `HashSet<Row>` reference: same rows, first-occurrence order,
+    /// first-occurrence values bit for bit (-0.0 vs 0.0, NaN payloads).
+    #[test]
+    fn project_distinct_matches_hash_set_reference(
+        rel in arb_columnar_relation(),
+        mask in 1usize..16,
+    ) {
+        // A non-empty subset of the columns.
+        let arity = rel.schema().len();
+        let mask = mask % ((1 << arity) - 1) + 1;
+        let cols: Vec<String> = (0..arity)
+            .filter(|i| mask & (1 << i) != 0)
+            .map(|i| format!("c{i}"))
+            .collect();
+        let cols: Vec<&str> = cols.iter().map(String::as_str).collect();
+        let idx = rel.schema().indexes_of(&cols).expect("columns exist");
+        let mut seen = std::collections::HashSet::new();
+        let want: Vec<Row> = rel
+            .iter()
+            .map(|r| r.project(&idx))
+            .filter(|p| seen.insert(p.clone()))
+            .collect();
+        let by_rows = rel.project_distinct(&cols).expect("projects");
+        rel.columns();
+        let by_cols = rel.project_distinct(&cols).expect("projects");
+        prop_assert_eq!(bits(by_rows.rows()), bits(&want));
+        prop_assert_eq!(bits(by_cols.rows()), bits(&want));
+    }
+
+    /// `Column::cmp_value` is `Value::cmp` against the materialized value,
+    /// with `None` exactly when either side is NULL.
+    #[test]
+    fn column_cmp_value_matches_value_order(
+        rel in arb_columnar_relation(),
+        probes in proptest::collection::vec(
+            prop_oneof![
+                arb_value(),
+                Just(Value::Double(f64::NAN)),
+                Just(Value::Double(-0.0)),
+                Just(Value::Int(0)),
+                "[ab]{0,2}".prop_map(Value::str),
+            ],
+            1..6,
+        ),
+    ) {
+        let cols = rel.columns();
+        for c in 0..cols.arity() {
+            for i in 0..cols.len() {
+                let v = cols.value(c, i);
+                for p in &probes {
+                    let want = (!v.is_null() && !p.is_null()).then(|| v.cmp(p));
+                    prop_assert_eq!(cols.col(c).cmp_value(i, p), want);
+                }
+            }
+        }
+    }
+}
+
 // Interval soundness: evaluating a detail-only expression on concrete rows
 // drawn from the declared domains always lands inside the derived interval.
 proptest! {
